@@ -66,17 +66,30 @@ fn bench_crypto() {
     });
 
     let cmac = CmacKey::new(&[9u8; 16]);
-    let msg = vec![0xabu8; 128];
-    bench("cmac_128B", || {
-        std::hint::black_box(cmac.mac(&msg));
-    });
+    for (name, len) in [("cmac_128B", 128), ("cmac_1KiB", 1024)] {
+        let msg = vec![0xabu8; len];
+        bench(name, || {
+            std::hint::black_box(cmac.mac(&msg));
+        });
+    }
 
     let suite = RealSuite::from_master(&[3u8; 16]);
-    let mut data = vec![0u8; 512];
-    bench("ctr_crypt_512B", || {
-        suite.crypt(&[1u8; 16], &mut data);
-        std::hint::black_box(data[0]);
-    });
+    for (name, len) in [("ctr_crypt_512B", 512), ("ctr_crypt_4KiB", 4096)] {
+        let mut data = vec![0u8; len];
+        bench(name, || {
+            suite.crypt(&[1u8; 16], &mut data);
+            std::hint::black_box(data[0]);
+        });
+    }
+}
+
+/// Whether the CPU has AES-NI, which `Aes128` then runs on. Crypto rows
+/// from a CPU with it and one without are not comparable.
+fn aes_ni_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("aes");
+    #[cfg(not(target_arch = "x86_64"))]
+    return false;
 }
 
 fn bench_merkle() {
@@ -182,6 +195,7 @@ fn bench_workload() {
 }
 
 fn main() {
+    println!("cpu feature aes: {}", if aes_ni_detected() { "detected" } else { "not detected" });
     println!("{:<28} {:>12}", "benchmark", "median");
     bench_crypto();
     bench_merkle();

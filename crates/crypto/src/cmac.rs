@@ -38,7 +38,12 @@ impl std::fmt::Debug for CmacKey {
 impl CmacKey {
     /// Derive the CMAC subkeys from a 16-byte key.
     pub fn new(key: &[u8; 16]) -> Self {
-        let cipher = Aes128::new(key);
+        Self::with_cipher(Aes128::new(key))
+    }
+
+    /// Derive the subkeys under an already expanded cipher, on whichever
+    /// backend it runs.
+    pub(crate) fn with_cipher(cipher: Aes128) -> Self {
         let l = cipher.encrypt(&[0u8; 16]);
         let mut k1 = left_shift_one(&l);
         if l[0] & 0x80 != 0 {
@@ -67,57 +72,62 @@ impl CmacKey {
         ctx.finalize()
     }
 
-    /// Constant-shape verification helper: recompute and compare.
+    /// Recompute the tag and compare it in constant time, over the full
+    /// tag so truncation attacks are impossible.
     pub fn verify(&self, msg: &[u8], tag: &[u8; MAC_LEN]) -> bool {
-        // Not constant-time (the simulator is not a hardened target), but
-        // compares the full tag so truncation attacks are impossible.
-        self.mac(msg) == *tag
+        crate::tags_equal(&self.mac(msg), tag)
     }
 }
 
 /// Streaming CMAC state over a [`CmacKey`].
 pub struct Cmac<'k> {
     key: &'k CmacKey,
+    /// The CBC-MAC chaining value.
     state: [u8; 16],
+    /// Input not yet chained: 0 to 16 bytes. A full block waits here until
+    /// more input shows it is not the last one, which gets subkey treatment.
     buf: [u8; 16],
     buf_len: usize,
-    total: u64,
 }
 
 impl<'k> Cmac<'k> {
     /// Start a new MAC computation.
     pub fn new(key: &'k CmacKey) -> Self {
-        Cmac { key, state: [0u8; 16], buf: [0u8; 16], buf_len: 0, total: 0 }
+        Cmac { key, state: [0u8; 16], buf: [0u8; 16], buf_len: 0 }
     }
 
-    /// Absorb message bytes.
+    /// Absorb message bytes. Whole blocks are chained straight from `data`;
+    /// only a partial block, or the block that may be the last, is copied.
     pub fn update(&mut self, mut data: &[u8]) {
-        self.total += data.len() as u64;
-        // A full buffered block may only be processed once we know more
-        // input follows (the final block gets subkey treatment instead).
-        while !data.is_empty() {
-            if self.buf_len == 16 {
-                self.process_buf();
-            }
+        if data.is_empty() {
+            return;
+        }
+        let cipher = &self.key.cipher;
+        if self.buf_len > 0 {
             let take = (16 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
+            if data.is_empty() {
+                return;
+            }
+            // More input follows, so the full buffer is not the last block.
+            cipher.cbc_mac(&mut self.state, &self.buf);
         }
-    }
-
-    fn process_buf(&mut self) {
-        for i in 0..16 {
-            self.state[i] ^= self.buf[i];
-        }
-        self.key.cipher.encrypt_block(&mut self.state);
-        self.buf_len = 0;
+        let keep = match data.len() % 16 {
+            0 => 16,
+            partial => partial,
+        };
+        let (whole, last) = data.split_at(data.len() - keep);
+        cipher.cbc_mac(&mut self.state, whole);
+        self.buf[..keep].copy_from_slice(last);
+        self.buf_len = keep;
     }
 
     /// Finish and produce the 16-byte tag.
     pub fn finalize(mut self) -> [u8; MAC_LEN] {
         let mut last = [0u8; 16];
-        if self.total > 0 && self.buf_len == 16 {
+        if self.buf_len == 16 {
             // Complete final block: xor with K1.
             for (l, (b, k)) in last.iter_mut().zip(self.buf.iter().zip(self.key.k1.iter())) {
                 *l = b ^ k;
@@ -130,10 +140,7 @@ impl<'k> Cmac<'k> {
                 *l ^= k;
             }
         }
-        for (s, l) in self.state.iter_mut().zip(last.iter()) {
-            *s ^= l;
-        }
-        self.key.cipher.encrypt_block(&mut self.state);
+        self.key.cipher.cbc_mac(&mut self.state, &last);
         self.state
     }
 }
@@ -151,36 +158,51 @@ mod tests {
         CmacKey::new(&key)
     }
 
+    /// The RFC 4493 key on each backend: as selected, and portable.
+    fn rfc_keys() -> [CmacKey; 2] {
+        let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
+        [CmacKey::new(&key), CmacKey::with_cipher(Aes128::portable(&key))]
+    }
+
     #[test]
     fn rfc4493_subkeys() {
-        let k = rfc_key();
-        assert_eq!(k.k1.to_vec(), hex("fbeed618357133667c85e08f7236a8de"));
-        assert_eq!(k.k2.to_vec(), hex("f7ddac306ae266ccf90bc11ee46d513b"));
+        for k in rfc_keys() {
+            assert_eq!(k.k1.to_vec(), hex("fbeed618357133667c85e08f7236a8de"));
+            assert_eq!(k.k2.to_vec(), hex("f7ddac306ae266ccf90bc11ee46d513b"));
+        }
     }
 
     #[test]
     fn rfc4493_example_1_empty() {
-        assert_eq!(rfc_key().mac(&[]).to_vec(), hex("bb1d6929e95937287fa37d129b756746"));
+        for k in rfc_keys() {
+            assert_eq!(k.mac(&[]).to_vec(), hex("bb1d6929e95937287fa37d129b756746"));
+        }
     }
 
     #[test]
     fn rfc4493_example_2_one_block() {
         let msg = hex("6bc1bee22e409f96e93d7e117393172a");
-        assert_eq!(rfc_key().mac(&msg).to_vec(), hex("070a16b46b4d4144f79bdd9dd04a287c"));
+        for k in rfc_keys() {
+            assert_eq!(k.mac(&msg).to_vec(), hex("070a16b46b4d4144f79bdd9dd04a287c"));
+        }
     }
 
     #[test]
     fn rfc4493_example_3_40_bytes() {
         let msg =
             hex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e5130c81c46a35ce411");
-        assert_eq!(rfc_key().mac(&msg).to_vec(), hex("dfa66747de9ae63030ca32611497c827"));
+        for k in rfc_keys() {
+            assert_eq!(k.mac(&msg).to_vec(), hex("dfa66747de9ae63030ca32611497c827"));
+        }
     }
 
     #[test]
     fn rfc4493_example_4_64_bytes() {
         let msg = hex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
              30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710");
-        assert_eq!(rfc_key().mac(&msg).to_vec(), hex("51f0bebf7e3b9d92fc49741779363cfe"));
+        for k in rfc_keys() {
+            assert_eq!(k.mac(&msg).to_vec(), hex("51f0bebf7e3b9d92fc49741779363cfe"));
+        }
     }
 
     #[test]

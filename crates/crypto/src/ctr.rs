@@ -5,7 +5,7 @@
 //! keystream stays one-time. Encryption and decryption are the same
 //! operation (xor with the keystream).
 
-use crate::aes::Aes128;
+use crate::aes::{Aes128, INTERLEAVE};
 
 /// Increment a 16-byte counter block as a big-endian 128-bit integer.
 #[inline]
@@ -21,22 +21,23 @@ pub fn increment_counter(ctr: &mut [u8; 16]) {
 
 /// Encrypt or decrypt `data` in place with AES-CTR under `cipher`, starting
 /// from counter block `iv`. The caller's `iv` is not modified; CTR blocks
-/// are derived per 16-byte chunk.
+/// are derived per 16-byte chunk, the counter counting as a big-endian
+/// 128-bit integer exactly as [`increment_counter`] does, carries and
+/// wrap-around included.
 pub fn ctr_crypt(cipher: &Aes128, iv: &[u8; 16], data: &mut [u8]) {
-    let mut counter = *iv;
-    let mut chunks = data.chunks_exact_mut(16);
-    for chunk in &mut chunks {
-        let keystream = cipher.encrypt(&counter);
-        for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
-            *d ^= k;
+    let mut counter = u128::from_be_bytes(*iv);
+    let mut keystream = [[0u8; 16]; INTERLEAVE];
+    for chunk in data.chunks_mut(INTERLEAVE * 16) {
+        let blocks = &mut keystream[..chunk.len().div_ceil(16)];
+        for block in blocks.iter_mut() {
+            *block = counter.to_be_bytes();
+            counter = counter.wrapping_add(1);
         }
-        increment_counter(&mut counter);
-    }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
-        let keystream = cipher.encrypt(&counter);
-        for (d, k) in tail.iter_mut().zip(keystream.iter()) {
-            *d ^= k;
+        cipher.encrypt_blocks(blocks);
+        for (d, k) in chunk.chunks_mut(16).zip(blocks.iter()) {
+            for (d, k) in d.iter_mut().zip(k) {
+                *d ^= k;
+            }
         }
     }
 }
@@ -54,10 +55,15 @@ mod tests {
     fn nist_sp800_38a_ctr() {
         let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
         let iv: [u8; 16] = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
-        let mut data = hex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51");
-        let cipher = Aes128::new(&key);
-        ctr_crypt(&cipher, &iv, &mut data);
-        assert_eq!(data, hex("874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"));
+        let data = hex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51");
+        for cipher in [Aes128::new(&key), Aes128::portable(&key)] {
+            let mut out = data.clone();
+            ctr_crypt(&cipher, &iv, &mut out);
+            assert_eq!(
+                out,
+                hex("874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff")
+            );
+        }
     }
 
     #[test]

@@ -2,31 +2,77 @@
 //!
 //! The paper's implementation uses the Intel SGX SDK's
 //! `sgx_aes_ctr_encrypt` (confidentiality) and `sgx_rijndael128_cmac`
-//! (integrity). This crate provides the same algorithms implemented from
-//! scratch:
+//! (integrity), which run on AES-NI. This crate provides the same
+//! algorithms, on AES-NI too where the CPU has it:
 //!
-//! * [`aes::Aes128`] — FIPS-197 AES-128 forward cipher,
-//! * [`ctr`] — counter-mode encryption with 16-byte counter blocks,
+//! * [`aes::Aes128`] — FIPS-197 AES-128 forward cipher. It runs on AES-NI
+//!   when CPUID reports the `aes` feature on x86_64, and otherwise on a
+//!   from-scratch T-table, which the tests also use as the reference. The
+//!   choice is made once per key inside [`Aes128::new`]; there is no
+//!   option for it.
+//! * [`ctr`] — counter-mode encryption with 16-byte counter blocks, the
+//!   keystream generated 8 blocks at a time,
 //! * [`cmac`] — AES-CMAC per RFC 4493 with a streaming interface,
 //! * [`suite::CipherSuite`] — the pluggable provider the rest of the
 //!   workspace programs against, with the production [`suite::RealSuite`]
 //!   and the harness-only [`suite::FastSuite`].
 //!
 //! All algorithms are validated against FIPS-197, NIST SP 800-38A and
-//! RFC 4493 test vectors in the unit tests, and by property tests below.
+//! RFC 4493 test vectors on both backends in the unit tests, by property
+//! tests below, and by differential tests of AES-NI against the T-table.
+//!
+//! Which backend runs changes wall time only. The simulator charges crypto
+//! cycles from `aria-sim`'s `CostModel`, so every paper-figure output is
+//! the same on either.
+//!
+//! The AES-NI intrinsics are the crate's only `unsafe` code, all of it in
+//! one private module.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod aes;
 pub mod cmac;
 pub mod ctr;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni;
 pub mod suite;
 
 pub use aes::Aes128;
 pub use cmac::{Cmac, CmacKey, MAC_LEN};
 pub use ctr::{ctr_crypt, increment_counter};
 pub use suite::{CipherSuite, FastSuite, Mac, RealSuite};
+
+/// Compare two tags in time independent of where they differ: every byte
+/// pair is XORed and the differences ORed together before the one test.
+pub(crate) fn tags_equal(a: &Mac, b: &Mac) -> bool {
+    let diff = a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y));
+    std::hint::black_box(diff) == 0
+}
+
+#[cfg(test)]
+mod differential;
+
+#[cfg(test)]
+mod tag_compare_tests {
+    use super::*;
+
+    #[test]
+    fn tags_equal_rejects_a_difference_in_every_byte() {
+        let tag: Mac = std::array::from_fn(|i| (i as u8).wrapping_mul(37));
+        assert!(tags_equal(&tag, &tag));
+        for pos in 0..MAC_LEN {
+            for flip in [0x01u8, 0x80, 0xff] {
+                let mut bad = tag;
+                bad[pos] ^= flip;
+                assert!(!tags_equal(&tag, &bad), "byte {pos} flipped by {flip:#04x}");
+                assert!(!tags_equal(&bad, &tag), "byte {pos} flipped by {flip:#04x}");
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod proptests {

@@ -40,9 +40,10 @@ pub trait CipherSuite: Send + Sync {
         self.mac_parts(&[data])
     }
 
-    /// Verify a tag over the concatenation of `parts`.
+    /// Verify a tag over the concatenation of `parts`, comparing in
+    /// constant time.
     fn verify_parts(&self, parts: &[&[u8]], tag: &Mac) -> bool {
-        self.mac_parts(parts) == *tag
+        crate::tags_equal(&self.mac_parts(parts), tag)
     }
 }
 

@@ -32,6 +32,8 @@
 //! enclave-to-enclave channel; the structure is identical (DESIGN.md
 //! §13).
 
+use std::sync::OnceLock;
+
 use aria_crypto::CmacKey;
 
 use crate::{KvStore, StoreError};
@@ -39,6 +41,13 @@ use crate::{KvStore, StoreError};
 /// Fixed public convention key for content digests. Shared by every
 /// replica; see the module docs for why this is not a secret.
 const CONTENT_DIGEST_KEY: [u8; 16] = *b"aria-resync-root";
+
+/// [`CONTENT_DIGEST_KEY`] expanded once per process: the digest helpers
+/// run once per pair, and the key never changes.
+fn content_digest_key() -> &'static CmacKey {
+    static KEY: OnceLock<CmacKey> = OnceLock::new();
+    KEY.get_or_init(|| CmacKey::new(&CONTENT_DIGEST_KEY))
+}
 
 /// How many pairs [`content_root_of`] pulls per `export_chunk` call.
 pub const EXPORT_CHUNK_PAIRS: usize = 256;
@@ -69,7 +78,7 @@ impl std::fmt::Display for ContentRoot {
 /// [`content_root_from_digests`] instead of materializing every pair
 /// at once.
 pub fn pair_digest_keyed(key: &[u8], value: &[u8]) -> [u8; 16] {
-    pair_digest(&CmacKey::new(&CONTENT_DIGEST_KEY), key, value)
+    pair_digest(content_digest_key(), key, value)
 }
 
 /// Digest one verified pair (length-prefixed, so the encoding is
@@ -84,7 +93,7 @@ fn pair_digest(mac: &CmacKey, key: &[u8], value: &[u8]) -> [u8; 16] {
 /// [`ContentRoot`]. Order-independent — the digests are sorted before
 /// the final MAC, exactly as [`content_root`] does.
 pub fn content_root_from_digests(mut digests: Vec<[u8; 16]>) -> ContentRoot {
-    let mac = CmacKey::new(&CONTENT_DIGEST_KEY);
+    let mac = content_digest_key();
     digests.sort_unstable();
     let count = (digests.len() as u64).to_le_bytes();
     let mut parts: Vec<&[u8]> = Vec::with_capacity(digests.len() + 1);
@@ -98,8 +107,8 @@ pub fn content_root_from_digests(mut digests: Vec<[u8; 16]>) -> ContentRoot {
 /// Combine verified pairs into a [`ContentRoot`]. Order-independent:
 /// any permutation of the same pairs yields the same root.
 pub fn content_root(pairs: &[(Vec<u8>, Vec<u8>)]) -> ContentRoot {
-    let mac = CmacKey::new(&CONTENT_DIGEST_KEY);
-    let digests: Vec<[u8; 16]> = pairs.iter().map(|(k, v)| pair_digest(&mac, k, v)).collect();
+    let mac = content_digest_key();
+    let digests: Vec<[u8; 16]> = pairs.iter().map(|(k, v)| pair_digest(mac, k, v)).collect();
     content_root_from_digests(digests)
 }
 
@@ -156,6 +165,27 @@ mod tests {
             base,
             content_root(&[p("k1", "v1"), p("k2", "v2"), p("k3", "v3")]),
             "extra pair"
+        );
+    }
+
+    /// Checkpoints on disk carry content roots, so the digest must stay
+    /// byte-identical across releases and cipher backends.
+    #[test]
+    fn digests_are_pinned() {
+        let pairs = [p("k1", "v1"), (b"key:000000000042".to_vec(), vec![0xa5; 300])];
+        assert_eq!(
+            content_root(&pairs).digest,
+            [
+                0x5f, 0x32, 0xa0, 0x99, 0xd4, 0x36, 0xd4, 0x0a, 0x54, 0x23, 0xc5, 0x2d, 0x3a, 0x8d,
+                0x9b, 0x30
+            ]
+        );
+        assert_eq!(
+            pair_digest_keyed(b"k1", b"v1"),
+            [
+                0x36, 0xee, 0x12, 0xea, 0xe6, 0xa4, 0x49, 0x6b, 0xf0, 0xb1, 0xe9, 0x21, 0x46, 0xad,
+                0x55, 0x99
+            ]
         );
     }
 
